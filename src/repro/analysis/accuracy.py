@@ -9,6 +9,7 @@ elastic); the observed mode comes from the recorder's mode series.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -70,6 +71,9 @@ def classification_accuracy(times: Sequence[float],
             if cur != prev:
                 transitions.append(float(t))
                 prev = cur
+    # ``t - tr`` never increases as ``tr`` grows, so if any transition at
+    # or before ``t`` lies within ``settle`` of it, the latest one does.
+    transitions.sort()
 
     for t, mode in zip(times, modes):
         if mode is None or t < warmup:
@@ -77,7 +81,8 @@ def classification_accuracy(times: Sequence[float],
         if end is not None and t > end:
             continue
         truth = elastic_truth(float(t))
-        in_settle = any(0 <= t - tr < settle for tr in transitions)
+        latest = bisect_right(transitions, t) - 1
+        in_settle = latest >= 0 and t - transitions[latest] < settle
         counted += 1
         if mode == MODE_COMPETITIVE:
             competitive += 1

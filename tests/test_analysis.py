@@ -99,6 +99,38 @@ class TestClassificationAccuracy:
         assert lenient.accuracy > strict.accuracy
         assert lenient.accuracy == pytest.approx(1.0)
 
+    def test_settle_matches_scan_of_every_transition(self):
+        rng = np.random.default_rng(5)
+        times = np.cumsum(rng.uniform(0.01, 0.3, size=400))
+        modes = list(rng.choice([MODE_COMPETITIVE, MODE_DELAY, None],
+                                size=len(times)))
+        flips = np.sort(rng.uniform(0, times[-1], size=40))
+        truth_calls = []
+
+        def truth(t):
+            truth_calls.append(t)
+            return bool(np.searchsorted(flips, t) % 2)
+
+        def scan_every_transition(settle):
+            # Reference: the settle test against each transition in turn.
+            transitions = [float(t) for prev, t in zip(times, times[1:])
+                           if truth(float(t)) != truth(float(prev))]
+            correct = sum(
+                1 for t, mode in zip(times, modes) if mode is not None
+                and ((mode == MODE_COMPETITIVE) == truth(float(t))
+                     or any(0 <= t - tr < settle for tr in transitions)))
+            return correct
+
+        for settle in (0.0, 0.05, 0.7, 3.0):
+            del truth_calls[:]
+            report = classification_accuracy(times, modes, truth,
+                                             settle=settle)
+            # One call per time to find transitions (only with a settle
+            # period), then one per scored bin.
+            scored = len(times) - modes.count(None)
+            assert len(truth_calls) == (len(times) if settle else 0) + scored
+            assert report.correct == scan_every_transition(settle)
+
     def test_mode_fraction(self):
         modes = [MODE_DELAY, MODE_DELAY, MODE_COMPETITIVE, None]
         assert mode_fraction(modes, MODE_DELAY) == pytest.approx(2 / 3)

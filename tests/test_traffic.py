@@ -1,5 +1,8 @@
 """Traffic generators: flow sizes, WAN workload, scripted phases."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro import quick_network
@@ -102,6 +105,100 @@ class TestWanGenerator:
         count = len(generator.records)
         network.run(10.0)
         assert len(generator.records) == count
+
+
+def _loop_elastic_byte_fraction(generator, start, end):
+    """Reference ground truth: the per-record loop the vectorized
+    ``elastic_byte_fraction`` must reproduce bit for bit."""
+    elastic = 0.0
+    total = 0.0
+    for record in generator.records:
+        flow = record.flow
+        f_start = record.start_time
+        f_end = flow.stats.end_time if flow.stats.end_time is not None else end
+        overlap = max(0.0, min(end, f_end) - max(start, f_start))
+        duration = max(f_end - f_start, 1e-9)
+        bytes_in_window = flow.stats.bytes_delivered * overlap / duration
+        total += bytes_in_window
+        if record.elastic:
+            elastic += bytes_in_window
+    if total <= 0:
+        return 0.0
+    return elastic / total
+
+
+def _wan_generator(generator_class=WanTrafficGenerator, **config):
+    network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+    config.setdefault("load", 0.5)
+    generator = generator_class(network, WanWorkloadConfig(
+        link_rate=mbps_to_bytes_per_sec(24), prop_rtt=0.05, seed=3,
+        **config))
+    return network, generator
+
+
+class TestWanGroundTruthExact:
+    def test_matches_loop_between_run_chunks(self):
+        network, generator = _wan_generator()
+        generator.start()
+        rng = random.Random(11)
+        saw_open_flows = False
+        for until in (1.0, 2.5, 5.0, 8.0, 12.0):
+            network.run(until)
+            first_arrival = generator.records[0].start_time
+            saw_open_flows |= any(r.flow.stats.end_time is None
+                                  for r in generator.records)
+            windows = [(0.0, first_arrival / 2),     # before any flow
+                       (-1.0, 0.0), (0.0, until), (until, until + 1.0)]
+            for _ in range(40):
+                end = rng.uniform(0.0, until + 0.5)
+                windows.append((max(0.0, end - 5.0), end))
+                windows.append((rng.uniform(-1.0, until), end))
+            windows.append((np.float64(until) - 5.0, np.float64(until)))
+            for start, end in windows:
+                # Twice in a row: a second query without progress in between
+                # reuses the snapshot and must not drift.
+                for _ in range(2):
+                    assert (generator.elastic_byte_fraction(start, end)
+                            == _loop_elastic_byte_fraction(generator, start,
+                                                           end)), \
+                        (until, start, end)
+        assert saw_open_flows
+        assert generator.elastic_byte_fraction(0.0, first_arrival / 2) == 0.0
+
+    def test_no_records_is_zero(self):
+        _, generator = _wan_generator()
+        assert generator.records == []
+        assert generator.elastic_byte_fraction(0.0, 10.0) == 0.0
+        assert not generator.elastic_present(0.0, 10.0)
+
+
+class _ArrivalOracle(WanTrafficGenerator):
+    """Checks the live-flow count against a scan of every record."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.counts = []
+
+    def _active_flows(self):
+        count = super()._active_flows()
+        assert count == sum(1 for r in self.records if r.flow.active)
+        self.counts.append(count)
+        return count
+
+
+class TestWanArrivalCap:
+    def test_live_count_matches_full_scan(self):
+        network, generator = _wan_generator(_ArrivalOracle, load=2.0,
+                                            max_concurrent=3)
+        generator.start()
+        network.run(10.0)
+        counts = generator.counts
+        assert max(counts) == 3
+        assert counts.count(3) > 0
+        # Arrivals at the cap are refused; all others add a flow.
+        assert len(generator.records) == sum(1 for c in counts if c < 3)
+        # Finished flows were pruned along the way.
+        assert len(generator._unfinished) <= 3 < len(generator.records)
 
 
 class TestScripted:

@@ -194,7 +194,6 @@ class TestWanArrivalCap:
         network.run(10.0)
         counts = generator.counts
         assert max(counts) == 3
-        assert counts.count(3) > 0
         # Arrivals at the cap are refused; all others add a flow.
         assert len(generator.records) == sum(1 for c in counts if c < 3)
         # Finished flows were pruned along the way.

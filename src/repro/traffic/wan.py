@@ -91,7 +91,10 @@ class WanTrafficGenerator:
         self._truth_bytes = np.empty(0)
         self._truth_elastic = np.empty(0, dtype=bool)
         #: Indices of snapshot entries whose flow had not ended when the
-        #: snapshot was last refreshed.
+        #: snapshot was last refreshed.  Not :attr:`_unfinished`: arrivals
+        #: prune a flow from that list as soon as it finishes, but the
+        #: snapshot must still read the flow once more after it ends to
+        #: take its final bytes and end time.
         self._truth_open: List[int] = []
         self._rng = (network.rng if config.seed is None
                      else random.Random(config.seed))
